@@ -39,6 +39,8 @@ mod report;
 mod session;
 mod statics;
 pub mod synth;
+#[cfg(test)]
+mod test_oracle;
 
 pub use assoc::{Association, Classification, ClassifiedAssoc};
 pub use classical::classical_pairs;
@@ -58,16 +60,14 @@ pub use explain::explain_association;
 pub use export::{
     associations_to_csv, coverage_to_csv, diagnosis_to_csv, subsumption_to_csv, verdicts_to_csv,
 };
-pub use matcher::{subsume_enabled, MatchAutomaton, MatchCursor, Tracking};
+pub use matcher::{MatchAutomaton, MatchCursor, Tracking};
 pub use obs::{self, MetricsReport, TimerStat};
 pub use par::thread_count;
 pub use report::{
     render_subsumption, render_summary, render_table1, render_table2, render_verdicts, Table2Row,
 };
 pub use session::{
-    DftSession, MatchStrategy, RetryAttempt, RetryPolicy, RetryReport, SessionArtifacts,
-    SessionConfig, TestcaseSpec,
+    DftSession, RetryAttempt, RetryPolicy, RetryReport, SessionArtifacts, SessionConfig,
+    TestcaseSpec,
 };
-pub use statics::{
-    analyse, analyse_with_threads, incremental_enabled, StaticAnalysis, StaticLint, SubsumptionInfo,
-};
+pub use statics::{analyse, analyse_with_threads, StaticAnalysis, StaticLint, SubsumptionInfo};

@@ -23,8 +23,8 @@
 //! the unit tests below and by `tests/match_equiv.rs`.
 //!
 //! The automaton is immutable after construction ([`Sync`]), so one
-//! instance is shared read-only across all `DFT_THREADS` workers; per-log
-//! mutable state lives on the worker's stack.
+//! instance is shared read-only by every session over the same artifacts;
+//! per-log mutable state lives in each [`MatchCursor`].
 //!
 //! Symbols interned *after* construction (fault-injected ghost names) are
 //! `>= frozen` and deliberately fall off every dense table: they are
@@ -61,15 +61,6 @@ pub enum Tracking {
     /// Only the unsubsumed frontier is tracked per event; dropped bits
     /// are reconstructed at finish time.
     Reduced,
-}
-
-/// Whether subsumption-reduced tracking is enabled (the default).
-/// `DFT_SUBSUME=0` / `false` / `off` opts out, mirroring `DFT_STREAM`.
-pub fn subsume_enabled() -> bool {
-    !matches!(
-        std::env::var("DFT_SUBSUME"),
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off")
-    )
 }
 
 /// Fully-interned association key: `(var, def_line, def_model, use_line,
@@ -143,15 +134,10 @@ struct LogState {
 }
 
 impl MatchAutomaton {
-    /// Builds the automaton for `design` + `statics` with the tracking
-    /// policy taken from the environment ([`subsume_enabled`]).
+    /// Builds the automaton for `design` + `statics` with
+    /// [`Tracking::Reduced`], the policy every session uses.
     pub fn new(design: &Design, statics: &StaticAnalysis) -> MatchAutomaton {
-        let tracking = if subsume_enabled() {
-            Tracking::Reduced
-        } else {
-            Tracking::Full
-        };
-        Self::with_tracking(design, statics, tracking)
+        Self::with_tracking(design, statics, Tracking::Reduced)
     }
 
     /// Builds the automaton for `design` + `statics` with an explicit

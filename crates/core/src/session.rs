@@ -2,127 +2,75 @@
 //! dynamic analysis per testcase, then coverage evaluation — with the
 //! uncovered-association work list driving the "tests addition" loop.
 //!
-//! Since PR 6 the dynamic stage defaults to **streaming**: a
-//! [`MatchCursor`] rides the simulation through a
-//! [`MatchingSink`](tdf_sim::MatchingSink), so events are matched as the
-//! kernel produces them and no per-testcase log is ever materialized —
-//! peak memory is O(automaton state), which is what unlocks
-//! long-/infinite-horizon runs. The buffered pipeline (record a pooled
-//! `Vec<CompactEvent>`, then match, fanning the matching out across
-//! `DFT_THREADS` workers) stays available behind
-//! [`MatchStrategy::Buffered`] / `DFT_STREAM=0` and is gated byte-identical
-//! to the streamed one in `tests/match_equiv.rs`.
+//! The dynamic stage has exactly one execution path: every testcase —
+//! a [`DftSession::run_testcase`] call is a batch of one — is elaborated
+//! and simulated under `catch_unwind`, with a
+//! [`MatchCursor`](crate::MatchCursor) riding the simulation through a
+//! [`MatchingSink`], so events are matched as the kernel produces them
+//! and no per-testcase log is ever materialized.
+//! Peak memory is O(automaton state), which is what unlocks
+//! long-/infinite-horizon runs. The automaton always tracks the
+//! unsubsumed frontier ([`Tracking::Reduced`]).
+//!
+//! The equivalence oracles live in tests, not in production modes: a
+//! plain [`Simulator`] recording into a
+//! [`CompactRecordingSink`](tdf_sim::CompactRecordingSink) and matched
+//! with [`MatchAutomaton::analyse_with_coverage`] (record-then-match),
+//! and a [`Tracking::Full`] automaton. Session reports are gated
+//! byte-identical to both in this module's tests, `tests/match_equiv.rs`,
+//! `tests/incremental_equiv.rs`, `tests/monitor_props.rs` and
+//! `tests/session_oracle.rs`.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dft_monitor::{AssertionSpec, AssertionVerdict, MonitorBank, MonitorSink};
+use dft_monitor::{AssertionSpec, MonitorBank, MonitorSink};
 use obs::MetricsReport;
-use tdf_sim::{
-    Cluster, CompactConsumer, CompactEvent, CompactRecordingSink, Event, EventSink, Interner,
-    MatchingSink, RunLimits, SimTime, Simulator, TdfError,
-};
+use tdf_sim::{Cluster, EventSink, MatchingSink, RunLimits, SimTime, Simulator, TdfError};
 
 use crate::coverage::{Coverage, RunOutcome, TestcaseResult};
 use crate::design::Design;
 use crate::dynamic::MatchMode;
 use crate::error::{panic_payload_str, DftError, Result};
-use crate::matcher::{subsume_enabled, MatchAutomaton, MatchCursor, Tracking};
-use crate::statics::{
-    analyse_build, incremental_enabled, ModelArtifactCache, StaticAnalysis, StaticBuild,
-};
-
-/// How a session turns simulation events into exercised associations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchStrategy {
-    /// Match events as the simulation emits them (one pass, no
-    /// materialized log). The default.
-    Streamed,
-    /// Record the full compact event log into a pooled buffer, then match
-    /// it (the pre-PR-6 pipeline; batch matching fans out across
-    /// `DFT_THREADS` workers).
-    Buffered,
-}
-
-impl MatchStrategy {
-    /// The strategy selected by the `DFT_STREAM` environment variable:
-    /// `0` / `false` / `off` opt back into the buffered pipeline,
-    /// anything else (including unset) streams.
-    pub fn from_env() -> MatchStrategy {
-        match std::env::var("DFT_STREAM") {
-            Ok(v)
-                if v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off") =>
-            {
-                MatchStrategy::Buffered
-            }
-            _ => MatchStrategy::Streamed,
-        }
-    }
-}
+use crate::matcher::{MatchAutomaton, Tracking};
+use crate::statics::{analyse_build, ModelArtifactCache, StaticAnalysis, StaticBuild};
 
 /// All pipeline knobs of one session, resolved **once** at construction.
 ///
-/// The environment variables (`DFT_THREADS`, `DFT_STREAM`, `DFT_SUBSUME`)
-/// are read exactly once, by [`SessionConfig::from_env`]; nothing on a
-/// session's hot path touches the environment afterwards. That makes
-/// per-request runs immune to concurrent `set_var` races and lets a
-/// multi-tenant embedder (e.g. `dft-serve`) give every request its own
-/// knob set over the same shared artifacts.
+/// The only environment variable read is `DFT_THREADS`, exactly once, by
+/// [`SessionConfig::from_env`]; nothing on a session's hot path touches
+/// the environment afterwards. That makes per-request runs immune to
+/// concurrent `set_var` races and lets a multi-tenant embedder (e.g.
+/// `dft-serve`) give every request its own knob set over the same shared
+/// artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionConfig {
-    /// Worker count for the static-analysis and buffered log-matching
-    /// fan-outs (the `DFT_THREADS` knob; reports are byte-identical for
-    /// every value).
+    /// Worker count for the static-analysis fan-out (the `DFT_THREADS`
+    /// knob; reports are byte-identical for every value).
     pub threads: usize,
-    /// How testcase events are matched (the `DFT_STREAM` knob).
-    pub strategy: MatchStrategy,
-    /// Which association rows the match automaton tracks on its hot path
-    /// (the `DFT_SUBSUME` knob). An **artifact-build-time** knob: it is
-    /// consumed when the [`SessionArtifacts`] are built and ignored by
-    /// [`DftSession::from_artifacts`], which inherits the automaton it is
-    /// given. Raw reports are byte-identical either way.
-    pub tracking: Tracking,
-    /// Whether the static stage may memoize per-model artifacts (the
-    /// `DFT_INCR` knob): unchanged models resolve from the process-wide
-    /// model-artifact cache — and, on
-    /// [`SessionArtifacts::build_incremental`], from the previous build —
-    /// instead of recomputing. Another artifact-build-time knob; reports
-    /// are byte-identical either way, `false` is the exact cold path.
+    /// Whether the static stage may memoize per-model artifacts:
+    /// unchanged models resolve from the process-wide model-artifact
+    /// cache — and, on [`SessionArtifacts::build_incremental`], from the
+    /// previous build — instead of recomputing. An artifact-build-time
+    /// knob; reports are byte-identical either way, and `false` runs the
+    /// same code with no cache and no previous build (a cold build).
     pub incremental: bool,
 }
 
 impl SessionConfig {
-    /// Resolves every knob from the environment — the configuration
-    /// [`DftSession::new`] uses.
+    /// Resolves the worker count from the environment, with memoization
+    /// on — the configuration [`DftSession::new`] uses.
     pub fn from_env() -> SessionConfig {
         SessionConfig {
             threads: crate::thread_count(),
-            strategy: MatchStrategy::from_env(),
-            tracking: if subsume_enabled() {
-                Tracking::Reduced
-            } else {
-                Tracking::Full
-            },
-            incremental: incremental_enabled(),
+            incremental: true,
         }
     }
 
     /// Overrides the worker count (builder style).
     pub fn with_threads(mut self, threads: usize) -> SessionConfig {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Overrides the match strategy (builder style).
-    pub fn with_strategy(mut self, strategy: MatchStrategy) -> SessionConfig {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Overrides the tracking policy (builder style).
-    pub fn with_tracking(mut self, tracking: Tracking) -> SessionConfig {
-        self.tracking = tracking;
         self
     }
 
@@ -153,7 +101,6 @@ pub struct SessionArtifacts {
     design: Design,
     statics: StaticAnalysis,
     automaton: MatchAutomaton,
-    tracking: Tracking,
     /// Per-model decomposition of the static stage, retained so a later
     /// [`SessionArtifacts::build_incremental`] can splice every unchanged
     /// model instead of recomputing it.
@@ -169,7 +116,7 @@ impl SessionArtifacts {
     }
 
     /// Runs the static stage on `config.threads` workers and freezes the
-    /// artifacts with `config.tracking`.
+    /// artifacts.
     pub fn build_with(design: Design, config: &SessionConfig) -> Arc<SessionArtifacts> {
         Self::assemble(design, None, config)
     }
@@ -181,8 +128,8 @@ impl SessionArtifacts {
     /// whose inputs are unchanged — into the fresh [`StaticAnalysis`] and
     /// [`MatchAutomaton`]. The result is byte-identical to a cold
     /// [`SessionArtifacts::build_with`] of the same design; only the work
-    /// spent differs. With `config.incremental == false` this *is* the
-    /// cold build.
+    /// spent differs. With `config.incremental == false` `prev` is not
+    /// consulted, so this *is* the cold build.
     pub fn build_incremental(
         design: Design,
         prev: &SessionArtifacts,
@@ -197,18 +144,14 @@ impl SessionArtifacts {
         config: &SessionConfig,
     ) -> Arc<SessionArtifacts> {
         let cache = config.incremental.then(ModelArtifactCache::global);
-        let prev_build = if config.incremental {
-            prev.map(|p| &p.static_build)
-        } else {
-            None
-        };
+        let prev_build = prev.filter(|_| config.incremental).map(|p| &p.static_build);
         let outcome = analyse_build(&design, config.threads, cache, prev_build);
-        let automaton = MatchAutomaton::with_tracking(&design, &outcome.analysis, config.tracking);
+        let automaton =
+            MatchAutomaton::with_tracking(&design, &outcome.analysis, Tracking::Reduced);
         Arc::new(SessionArtifacts {
             design,
             statics: outcome.analysis,
             automaton,
-            tracking: config.tracking,
             static_build: outcome.build,
             models_rebuilt: outcome.models_rebuilt,
         })
@@ -224,9 +167,11 @@ impl SessionArtifacts {
         &self.statics
     }
 
-    /// The [`Tracking`] policy the automaton was built with.
+    /// The [`Tracking`] policy the automaton was built with — always
+    /// [`Tracking::Reduced`]; [`Tracking::Full`] survives only as a test
+    /// oracle.
     pub fn tracking(&self) -> Tracking {
-        self.tracking
+        Tracking::Reduced
     }
 
     /// How many user models the static stage actually recomputed when
@@ -387,16 +332,6 @@ impl RetryReport {
     }
 }
 
-/// Most pooled event buffers a session retains between testcases; surplus
-/// buffers returned by large batches are dropped instead of pinned for the
-/// session lifetime.
-const MAX_POOLED_BUFFERS: usize = 8;
-
-/// Largest per-buffer capacity (in events) the pool keeps. A pathological
-/// testcase that ballooned a log past this is freed rather than recycled,
-/// so one outlier cannot pin megabytes until the session drops.
-const MAX_POOLED_EVENTS: usize = 1 << 18;
-
 /// One testcase prepared for [`DftSession::run_testcases`]: a freshly built
 /// cluster plus its name and simulated duration.
 #[derive(Debug)]
@@ -448,21 +383,11 @@ pub struct DftSession {
     /// Per-session knobs, resolved once at construction.
     config: SessionConfig,
     runs: Vec<TestcaseResult>,
-    /// Recycled event buffers for the buffered strategy: testcase
-    /// simulations record into a pooled `Vec<CompactEvent>`
-    /// (clear-and-reuse), so candidate evaluation loops stop reallocating
-    /// megabyte-sized logs per testcase. Bounded by
-    /// [`MAX_POOLED_BUFFERS`] / [`MAX_POOLED_EVENTS`]; the streamed
-    /// strategy never touches it.
-    pool: Vec<Vec<CompactEvent>>,
     /// Assertions monitored alongside matching. Empty (the default) keeps
     /// the sample tap off and every run/report byte-identical to a
     /// session without monitor support.
     assertions: Vec<AssertionSpec>,
 }
-
-/// A monitor bank shared with the (possibly panicking) simulation pass.
-type SharedBank = Arc<Mutex<MonitorBank>>;
 
 impl DftSession {
     /// Creates a session and runs the static stage, with every knob
@@ -472,8 +397,7 @@ impl DftSession {
     }
 
     /// Creates a session with explicit knobs: the static stage runs on
-    /// `config.threads` workers and the automaton tracks
-    /// `config.tracking`. Reports are byte-identical for every
+    /// `config.threads` workers. Reports are byte-identical for every
     /// configuration.
     pub fn with_config(design: Design, config: SessionConfig) -> Result<DftSession> {
         Ok(Self::from_artifacts(
@@ -484,19 +408,13 @@ impl DftSession {
 
     /// Creates a session over **already-frozen** artifacts — the warm
     /// path: elaboration and static analysis are skipped entirely, only
-    /// per-session state (runs, pool) is allocated. This is what an
+    /// per-session state (the run list) is allocated. This is what an
     /// artifact cache hit costs.
-    ///
-    /// `config.tracking` is ignored in favour of the tracking the shared
-    /// automaton was actually built with (raw reports are byte-identical
-    /// either way).
     pub fn from_artifacts(artifacts: Arc<SessionArtifacts>, config: SessionConfig) -> DftSession {
-        let config = config.with_tracking(artifacts.tracking());
         DftSession {
             artifacts,
             config,
             runs: Vec::new(),
-            pool: Vec::new(),
             assertions: Vec::new(),
         }
     }
@@ -504,11 +422,9 @@ impl DftSession {
     /// Attaches assertions to be monitored alongside matching (builder
     /// style): every subsequent testcase evaluates them over its sample
     /// streams in the same simulation pass and carries the per-assertion
-    /// verdicts in [`TestcaseResult::verdicts`], in spec order. Verdicts
-    /// are byte-identical across `DFT_THREADS` and [`MatchStrategy`]
-    /// (simulation is sequential either way); with no assertions the
-    /// sample tap stays off and reports are byte-identical to a session
-    /// without monitor support.
+    /// verdicts in [`TestcaseResult::verdicts`], in spec order. With no
+    /// assertions the sample tap stays off and reports are byte-identical
+    /// to a session without monitor support.
     pub fn with_assertions(mut self, assertions: Vec<AssertionSpec>) -> DftSession {
         self.assertions = assertions;
         self
@@ -523,18 +439,6 @@ impl DftSession {
     /// The assertions currently monitored.
     pub fn assertions(&self) -> &[AssertionSpec] {
         &self.assertions
-    }
-
-    /// A fresh per-testcase monitor bank, `None` when no assertions are
-    /// attached (keeping the kernel's sample tap disabled).
-    fn monitor_bank(&self) -> Option<SharedBank> {
-        if self.assertions.is_empty() {
-            return None;
-        }
-        Some(Arc::new(Mutex::new(MonitorBank::compile(
-            &self.assertions,
-            self.design().interner(),
-        ))))
     }
 
     /// The frozen artifacts backing this session (shareable with further
@@ -558,125 +462,50 @@ impl DftSession {
         self.artifacts.static_analysis()
     }
 
-    /// The prebuilt match automaton shared by this session's runs.
-    fn automaton(&self) -> &MatchAutomaton {
-        &self.artifacts.automaton
-    }
-
-    /// The active [`MatchStrategy`].
-    pub fn match_strategy(&self) -> MatchStrategy {
-        self.config.strategy
-    }
-
-    /// Overrides the [`MatchStrategy`] for subsequent testcases (builder
-    /// style mutator; both strategies produce byte-identical reports).
-    pub fn set_match_strategy(&mut self, strategy: MatchStrategy) {
-        self.config.strategy = strategy;
-    }
-
-    /// Number of recycled event buffers currently pooled. The streamed
-    /// strategy materializes no logs, so it leaves this at zero; exposed
-    /// so tests can assert both that invariant and the pool bound.
-    pub fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Returns a drained event buffer to the pool, enforcing the count
-    /// and per-buffer-capacity bounds.
-    fn recycle(&mut self, mut buffer: Vec<CompactEvent>) {
-        buffer.clear();
-        if self.pool.len() < MAX_POOLED_BUFFERS && buffer.capacity() <= MAX_POOLED_EVENTS {
-            self.pool.push(buffer);
-        }
-    }
-
     /// Runs one testcase: elaborates `cluster`, simulates it for
     /// `duration` with instrumentation enabled, and matches its def/use
-    /// events into exercised associations — in one pass under the
-    /// streamed strategy, or log-then-match under the buffered one.
+    /// events into exercised associations in the same pass.
     ///
-    /// Events are matched in [`MatchMode::Lenient`], the same mode as the
-    /// batch runners, so a batch of one reports identically to a single
-    /// run even on malformed logs (lenient and strict matching are
-    /// indistinguishable on well-formed ones).
+    /// This is a batch of one: the testcase takes the same path as every
+    /// entry of [`DftSession::run_testcases`], so a single run reports
+    /// identically to a batch of one even on malformed logs. Only the
+    /// failure contract differs.
     ///
     /// The cluster must be freshly built per testcase (testcases differ in
     /// their stimulus sources).
     ///
     /// # Errors
     ///
-    /// Propagates elaboration/simulation errors.
+    /// Returns elaboration/simulation errors and appends no run.
+    ///
+    /// # Panics
+    ///
+    /// A module panic is re-raised (with its original payload) after the
+    /// session has been left as it was: no run is appended.
     pub fn run_testcase(
         &mut self,
         name: &str,
         cluster: Cluster,
         duration: SimTime,
     ) -> Result<&TestcaseResult> {
-        let monitor = self.monitor_bank();
-        let (result, bits) = match self.config.strategy {
-            MatchStrategy::Streamed => {
-                let mut cursor = self.automaton().cursor(MatchMode::Lenient);
-                stream_testcase(
-                    name,
-                    cluster,
-                    duration,
-                    self.design().interner(),
-                    &mut cursor,
-                    monitor.as_ref(),
-                )?;
-                let _span = obs::span("stage.match");
-                cursor.finish()
-            }
-            MatchStrategy::Buffered => {
-                let buffer = self.pool.pop().unwrap_or_default();
-                let events = match simulate_testcase(
-                    name,
-                    cluster,
-                    duration,
-                    self.design().interner(),
-                    buffer,
-                    monitor.as_ref(),
-                ) {
-                    Ok(events) => events,
-                    Err((error, buffer)) => {
-                        // The pooled buffer must survive the failure —
-                        // dropping it here leaked warm allocations from
-                        // the pool one failing testcase at a time.
-                        self.recycle(buffer);
-                        return Err(error);
-                    }
-                };
-                let out = self
-                    .automaton()
-                    .analyse_with_coverage(&events, MatchMode::Lenient);
-                self.recycle(events);
-                out
-            }
-        };
-        self.runs.push(TestcaseResult {
-            name: name.to_owned(),
-            exercised: result.exercised,
-            defs_executed: result.defs_executed,
-            warnings: result.warnings,
-            outcome: RunOutcome::Ok,
-            exercised_idx: Some(bits),
-            verdicts: finalize_bank(monitor, duration, false),
-        });
+        let spec = TestcaseSpec::new(name, cluster, duration);
+        let (result, run) = self.simulate(spec, &RunLimits::none());
+        match run {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => return Err(e),
+            Err(payload) => resume_unwind(payload),
+        }
+        self.runs.push(result);
         Ok(self.runs.last().expect("just pushed"))
     }
 
-    /// Runs a batch of testcases: simulation stays sequential (module state
-    /// is not shared across threads), but the per-testcase event-log
-    /// matching — the log-analysis half of stage 2 — fans out across
-    /// [`crate::thread_count`] scoped workers. Results are appended in
-    /// batch order, so reports are byte-identical to running
-    /// [`DftSession::run_testcase`] once per entry.
+    /// Runs a batch of testcases in order, appending one run per entry.
     ///
     /// Unlike [`DftSession::run_testcase`], a failing testcase does **not**
     /// abort the batch: elaboration errors, simulation errors, tripped
     /// [`RunLimits`] budgets and even module panics are isolated to their
     /// testcase and recorded as a degraded [`RunOutcome`], and whatever the
-    /// testcase logged before failing still contributes (partial) coverage.
+    /// testcase emitted before failing still contributes (partial) coverage.
     ///
     /// # Errors
     ///
@@ -688,134 +517,118 @@ impl DftSession {
 
     /// [`DftSession::run_testcases`] with per-testcase [`RunLimits`]
     /// budgets. Each testcase is simulated under `limits`; a tripped budget
-    /// degrades only that testcase ([`RunOutcome::TimedOut`]) while its
-    /// partial event log is still matched. Event logs of degraded testcases
-    /// are matched in [`MatchMode::Lenient`] — as are healthy ones, which
-    /// is indistinguishable from strict matching on a well-formed log.
+    /// degrades only that testcase ([`RunOutcome::TimedOut`]) while the
+    /// events it emitted before tripping are still matched.
     pub fn run_testcases_with(
         &mut self,
         testcases: Vec<TestcaseSpec>,
         limits: RunLimits,
     ) -> &[TestcaseResult] {
-        self.run_testcases_with_threads(testcases, limits, self.config.threads)
+        static DEGRADED: obs::Counter = obs::Counter::new("testcase.degraded");
+        let start = self.runs.len();
+        for tc in testcases {
+            let (mut result, run) = self.simulate(tc, &limits);
+            result.outcome = outcome_of(run);
+            if result.outcome.is_degraded() {
+                DEGRADED.add(1);
+            }
+            self.runs.push(result);
+        }
+        &self.runs[start..]
     }
 
-    /// [`DftSession::run_testcases_with`] with an explicit worker count
-    /// for the log-matching fan-out, instead of the process-wide
-    /// [`crate::thread_count`]. Results are byte-identical for every
-    /// `threads` value (index-slot merge); an explicit count lets callers
-    /// — the coverage-guided generator's determinism gates in particular
-    /// — compare thread counts in-process without mutating `DFT_THREADS`.
+    /// [`DftSession::run_testcases_with`] taking a worker count. Matching
+    /// happens inside the sequential simulation pass, so the worker count
+    /// changes neither the work done nor the results; the parameter stays
+    /// for callers that still pass one.
     pub fn run_testcases_with_threads(
         &mut self,
         testcases: Vec<TestcaseSpec>,
         limits: RunLimits,
-        threads: usize,
+        _threads: usize,
     ) -> &[TestcaseResult] {
-        static DEGRADED: obs::Counter = obs::Counter::new("testcase.degraded");
-        let entries: Vec<TestcaseResult> = match self.config.strategy {
-            MatchStrategy::Streamed => {
-                // Matching already happened inside the simulation pass, so
-                // there is no log-analysis fan-out left to thread; the
-                // `threads` knob only affects the buffered strategy (and
-                // reports are byte-identical either way).
-                let _ = threads;
-                let mut entries = Vec::with_capacity(testcases.len());
-                for tc in testcases {
-                    let monitor = self.monitor_bank();
-                    let cell = Arc::new(Mutex::new(Some(
-                        self.automaton().cursor(MatchMode::Lenient),
-                    )));
-                    let outcome = stream_testcase_isolated(
-                        &tc.name,
-                        tc.cluster,
-                        tc.duration,
-                        limits,
-                        self.design().interner(),
-                        &cell,
-                        monitor.clone(),
-                    );
-                    if outcome.is_degraded() {
-                        DEGRADED.add(1);
-                    }
-                    let cursor = cell
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .take()
-                        .expect("cursor is only harvested once");
-                    let (r, bits) = {
-                        let _span = obs::span("stage.match");
-                        cursor.finish()
-                    };
-                    let verdicts = finalize_bank(monitor, tc.duration, outcome.is_degraded());
-                    entries.push(TestcaseResult {
-                        name: tc.name,
-                        exercised: r.exercised,
-                        defs_executed: r.defs_executed,
-                        warnings: r.warnings,
-                        outcome,
-                        exercised_idx: Some(bits),
-                        verdicts,
-                    });
+        self.run_testcases_with(testcases, limits)
+    }
+
+    /// The dynamic stage for one testcase — the only place a session
+    /// simulates. Elaborates `tc.cluster` onto the design-wide interner
+    /// and runs it under `limits` inside `catch_unwind`, streaming every
+    /// def/use event into a fresh [`MatchCursor`](crate::MatchCursor)
+    /// and, when assertions are attached, every tapped sample into a
+    /// fresh [`MonitorBank`].
+    /// Returns the matched run (outcome `Ok`; callers map the second
+    /// value onto the outcome they need) and how the simulation ended.
+    /// Whatever was streamed before a failure is kept as partial
+    /// coverage, and a run that did not complete finalizes its verdicts
+    /// as degraded.
+    ///
+    /// Unwind-safety (why `AssertUnwindSafe` is sound): the closure owns
+    /// the cluster and the simulator built from it, so a panic can only
+    /// tear state that dies with the closure. The cursor and the bank
+    /// cross the boundary as plain `&mut` borrows. Module code never runs
+    /// while they are mid-update: `feed` is called from a module's
+    /// `record` and returns before the module resumes, and `observe` runs
+    /// in the kernel after the module has returned, so a module panic
+    /// cannot interrupt either halfway. A panic *inside* `feed` or
+    /// `observe` can leave them half-updated — no worse than sharing them
+    /// behind a mutex and recovering the poisoned lock with `into_inner`
+    /// — and such a run is finalized as degraded.
+    fn simulate(
+        &self,
+        tc: TestcaseSpec,
+        limits: &RunLimits,
+    ) -> (TestcaseResult, std::thread::Result<Result<()>>) {
+        let TestcaseSpec {
+            name,
+            mut cluster,
+            duration,
+        } = tc;
+        let interner = self.design().interner();
+        let mut cursor = self.artifacts.automaton.cursor(MatchMode::Lenient);
+        let mut bank =
+            (!self.assertions.is_empty()).then(|| MonitorBank::compile(&self.assertions, interner));
+        let started = obs::metrics_enabled().then(Instant::now);
+        cluster.set_interner(Arc::clone(interner));
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let mut sim = Simulator::new(cluster)?;
+            let mut matching = MatchingSink::new(&mut cursor, Arc::clone(interner));
+            let mut monitored;
+            let sink: &mut dyn EventSink = match bank.as_mut() {
+                Some(bank) => {
+                    monitored = MonitorSink::new(&mut matching, bank);
+                    &mut monitored
                 }
-                entries
-            }
-            MatchStrategy::Buffered => {
-                let mut names = Vec::with_capacity(testcases.len());
-                let mut outcomes = Vec::with_capacity(testcases.len());
-                let mut events = Vec::with_capacity(testcases.len());
-                let mut verdicts = Vec::with_capacity(testcases.len());
-                for tc in testcases {
-                    let monitor = self.monitor_bank();
-                    let buffer = self.pool.pop().unwrap_or_default();
-                    let (log, outcome) = simulate_testcase_isolated(
-                        &tc.name,
-                        tc.cluster,
-                        tc.duration,
-                        limits,
-                        self.design().interner(),
-                        buffer,
-                        monitor.clone(),
-                    );
-                    if outcome.is_degraded() {
-                        DEGRADED.add(1);
-                    }
-                    // Verdicts come straight off the simulation pass —
-                    // they never depend on the deferred log matching, so
-                    // finalize here, per testcase, exactly as the
-                    // streamed branch does.
-                    verdicts.push(finalize_bank(monitor, tc.duration, outcome.is_degraded()));
-                    names.push(tc.name);
-                    outcomes.push(outcome);
-                    events.push(log);
-                }
-                let automaton = self.automaton();
-                let results = crate::par::par_map(&events, threads, |log| {
-                    automaton.analyse_with_coverage(log, MatchMode::Lenient)
-                });
-                for buffer in events {
-                    self.recycle(buffer);
-                }
-                names
-                    .into_iter()
-                    .zip(outcomes)
-                    .zip(results)
-                    .zip(verdicts)
-                    .map(|(((name, outcome), (r, bits)), verdicts)| TestcaseResult {
-                        name,
-                        exercised: r.exercised,
-                        defs_executed: r.defs_executed,
-                        warnings: r.warnings,
-                        outcome,
-                        exercised_idx: Some(bits),
-                        verdicts,
-                    })
-                    .collect()
-            }
+                None => &mut matching,
+            };
+            let _span = obs::span("stage.simulate");
+            sim.run_with_limits(duration, sink, limits)?;
+            Ok::<(), DftError>(())
+        }));
+        if let Some(t0) = started {
+            obs::counter_add(&format!("testcase.{name}.events"), cursor.events_fed());
+            obs::observe_duration(&format!("testcase.{name}.wall"), t0.elapsed());
+        }
+        let (matched, bits) = {
+            let _span = obs::span("stage.match");
+            cursor.finish()
         };
-        let start = self.runs.len();
-        self.runs.extend(entries);
-        &self.runs[start..]
+        let verdicts = match bank {
+            Some(mut bank) => {
+                let _span = obs::span("stage.monitor");
+                bank.finalize(duration, !matches!(run, Ok(Ok(()))))
+            }
+            None => Vec::new(),
+        };
+        let result = TestcaseResult {
+            name,
+            exercised: matched.exercised,
+            defs_executed: matched.defs_executed,
+            warnings: matched.warnings,
+            outcome: RunOutcome::Ok,
+            exercised_idx: Some(bits),
+            verdicts,
+        };
+        (result, run)
     }
 
     /// Runs one testcase under a retry supervisor: transient failures
@@ -962,185 +775,7 @@ impl DftSession {
     }
 }
 
-/// Clears a returned event buffer so the pool hands out empty, warm
-/// allocations.
-fn recycled(mut buffer: Vec<CompactEvent>) -> Vec<CompactEvent> {
-    buffer.clear();
-    buffer
-}
-
-/// Resolves a testcase's monitor bank into verdicts: `end` is the
-/// requested run duration, `degraded` whether the simulation actually
-/// reached it (a truncated trace keeps observed violations but never
-/// reports a pass). `None` — no assertions attached — yields no verdicts.
-fn finalize_bank(bank: Option<SharedBank>, end: SimTime, degraded: bool) -> Vec<AssertionVerdict> {
-    match bank {
-        Some(bank) => {
-            let _span = obs::span("stage.monitor");
-            bank.lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .finalize(end, degraded)
-        }
-        None => Vec::new(),
-    }
-}
-
-/// Elaborates and simulates one testcase with instrumentation enabled,
-/// recording its event count and wall time under `testcase.<name>.*`. The
-/// cluster is re-keyed onto the design-wide `interner` so the recorded
-/// compact events use the session's symbol ids; `buffer` is a pooled
-/// allocation to record into — and it rides along in the error variant so
-/// the caller can recycle it instead of leaking it from the pool.
-#[allow(clippy::result_large_err)]
-fn simulate_testcase(
-    name: &str,
-    mut cluster: Cluster,
-    duration: SimTime,
-    interner: &Arc<Interner>,
-    buffer: Vec<CompactEvent>,
-    monitor: Option<&SharedBank>,
-) -> std::result::Result<Vec<CompactEvent>, (DftError, Vec<CompactEvent>)> {
-    let started = obs::metrics_enabled().then(Instant::now);
-    cluster.set_interner(Arc::clone(interner));
-    let mut sink = CompactRecordingSink::with_buffer(Arc::clone(interner), buffer);
-    let mut sim = match Simulator::new(cluster) {
-        Ok(sim) => sim,
-        Err(e) => return Err((e.into(), sink.events)),
-    };
-    let run = {
-        let _span = obs::span("stage.simulate");
-        match monitor {
-            Some(bank) => {
-                let mut monitored = MonitorSink::new(&mut sink, Arc::clone(bank));
-                sim.run(duration, &mut monitored)
-            }
-            None => sim.run(duration, &mut sink),
-        }
-    };
-    if let Some(t0) = started {
-        obs::counter_add(&format!("testcase.{name}.events"), sink.events.len() as u64);
-        obs::observe_duration(&format!("testcase.{name}.wall"), t0.elapsed());
-    }
-    match run {
-        Ok(_) => Ok(sink.events),
-        Err(e) => Err((e.into(), sink.events)),
-    }
-}
-
-/// Streamed counterpart of [`simulate_testcase`]: elaborates and
-/// simulates one testcase with a [`MatchingSink`] feeding `cursor`
-/// event-by-event, so matching finishes the moment the simulation does
-/// and no log is materialized.
-fn stream_testcase(
-    name: &str,
-    mut cluster: Cluster,
-    duration: SimTime,
-    interner: &Arc<Interner>,
-    cursor: &mut MatchCursor<'_>,
-    monitor: Option<&SharedBank>,
-) -> Result<()> {
-    let started = obs::metrics_enabled().then(Instant::now);
-    cluster.set_interner(Arc::clone(interner));
-    let mut sim = Simulator::new(cluster)?;
-    {
-        let mut sink = MatchingSink::new(cursor, Arc::clone(interner));
-        let _span = obs::span("stage.simulate");
-        match monitor {
-            Some(bank) => {
-                let mut monitored = MonitorSink::new(&mut sink, Arc::clone(bank));
-                sim.run(duration, &mut monitored)?;
-            }
-            None => {
-                sim.run(duration, &mut sink)?;
-            }
-        }
-    }
-    if let Some(t0) = started {
-        obs::counter_add(&format!("testcase.{name}.events"), cursor.events_fed());
-        obs::observe_duration(&format!("testcase.{name}.wall"), t0.elapsed());
-    }
-    Ok(())
-}
-
-/// A [`CompactConsumer`] feeding a shared, mutex-guarded cursor — the
-/// streaming analog of [`SharedSink`], so the partially-fed cursor
-/// survives a panicking module.
-struct CursorCell<'a> {
-    cell: Arc<Mutex<Option<MatchCursor<'a>>>>,
-}
-
-impl CompactConsumer for CursorCell<'_> {
-    fn consume(&mut self, event: &CompactEvent) {
-        // Poison recovery mirrors `SharedSink`: `feed` applies one event
-        // at a time and any partially-applied final event only ever
-        // *under*-reports coverage for that event, matching the truncated
-        // log the buffered isolated path would have recovered.
-        if let Some(cursor) = self.cell.lock().unwrap_or_else(|p| p.into_inner()).as_mut() {
-            cursor.feed(event);
-        }
-    }
-}
-
-/// Streamed counterpart of [`simulate_testcase_isolated`]: simulates one
-/// testcase under `limits` with full failure isolation while feeding the
-/// shared cursor in `cell`. Errors, tripped budgets and module panics
-/// degrade the [`RunOutcome`]; whatever was streamed before the failure
-/// already sits in the cursor as (partial) coverage.
-///
-/// Unwind-safety: as in [`simulate_testcase_isolated`], the closure owns
-/// everything it mutates except the `Arc<Mutex<Option<MatchCursor>>>`,
-/// which is fed one event at a time under the lock — an unwind can at
-/// worst lose the tail of the stream (a well-formed prefix was matched),
-/// never corrupt the cursor's tables.
-fn stream_testcase_isolated<'a>(
-    name: &str,
-    mut cluster: Cluster,
-    duration: SimTime,
-    limits: RunLimits,
-    interner: &Arc<Interner>,
-    cell: &Arc<Mutex<Option<MatchCursor<'a>>>>,
-    monitor: Option<SharedBank>,
-) -> RunOutcome {
-    let started = obs::metrics_enabled().then(Instant::now);
-    cluster.set_interner(Arc::clone(interner));
-    let mut consumer = CursorCell {
-        cell: Arc::clone(cell),
-    };
-    let sink_interner = Arc::clone(interner);
-    let run = catch_unwind(AssertUnwindSafe(move || {
-        let mut sim = Simulator::new(cluster)?;
-        let mut sink = MatchingSink::new(&mut consumer, sink_interner);
-        let _span = obs::span("stage.simulate");
-        // The bank crosses the unwind boundary the same way the cursor
-        // does: fed one sample at a time under its mutex, so a panic can
-        // at worst lose the tail of the stream — and a panicked run is
-        // finalized as degraded anyway.
-        match monitor {
-            Some(bank) => {
-                let mut monitored = MonitorSink::new(&mut sink, bank);
-                sim.run_with_limits(duration, &mut monitored, &limits)?;
-            }
-            None => {
-                sim.run_with_limits(duration, &mut sink, &limits)?;
-            }
-        }
-        Ok::<(), DftError>(())
-    }));
-    let outcome = outcome_of(run);
-    if let Some(t0) = started {
-        let fed = cell
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .as_ref()
-            .map_or(0, MatchCursor::events_fed);
-        obs::counter_add(&format!("testcase.{name}.events"), fed);
-        obs::observe_duration(&format!("testcase.{name}.wall"), t0.elapsed());
-    }
-    outcome
-}
-
-/// Maps an isolated run's `catch_unwind` result onto the degraded
-/// [`RunOutcome`] taxonomy shared by both pipeline strategies.
+/// Maps a run's `catch_unwind` result onto the [`RunOutcome`] taxonomy.
 fn outcome_of(run: std::thread::Result<std::result::Result<(), DftError>>) -> RunOutcome {
     match run {
         Ok(Ok(())) => RunOutcome::Ok,
@@ -1160,101 +795,13 @@ fn outcome_of(run: std::thread::Result<std::result::Result<(), DftError>>) -> Ru
     }
 }
 
-/// An [`EventSink`] appending into a shared, mutex-guarded buffer that
-/// outlives the simulation — so the event log survives a panicking module.
-/// Compact events are pushed as-is; legacy string events (from fault sinks
-/// and hand-instrumented modules) are interned on the way in.
-struct SharedSink {
-    buf: Arc<Mutex<Vec<CompactEvent>>>,
-    interner: Arc<Interner>,
-}
-
-impl EventSink for SharedSink {
-    fn record(&mut self, event: Event) {
-        let event = CompactEvent::from_event(&event, &self.interner);
-        // A poisoned lock only means some other holder panicked mid-append;
-        // the Vec itself is never left in a torn state (push is the only
-        // mutation), so recover the guard and keep recording.
-        self.buf
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(event);
-    }
-
-    fn record_compact(&mut self, event: CompactEvent, interner: &Interner) {
-        debug_assert!(
-            std::ptr::eq(&*self.interner, interner),
-            "compact events recorded against a foreign interner"
-        );
-        self.buf
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(event);
-    }
-}
-
-/// Elaborates and simulates one testcase under `limits` with full failure
-/// isolation: errors, tripped budgets and module panics degrade the
-/// [`RunOutcome`] instead of propagating, and whatever was logged before
-/// the failure is recovered.
-///
-/// Unwind-safety invariant (the reason `AssertUnwindSafe` is sound here):
-/// the closure *owns* everything it mutates — the cluster, the simulator
-/// built from it, and its `SharedSink` — so a panic can only tear state
-/// that dies with the closure. The sole data crossing the unwind boundary
-/// is the `Arc<Mutex<Vec<Event>>>` event buffer, which is append-only and
-/// mutated one `push` at a time under the lock; an unwind can therefore at
-/// worst *truncate* the log (a shorter but well-formed prefix), never
-/// corrupt an entry. No bare `&mut` borrow is captured across the boundary.
-fn simulate_testcase_isolated(
-    name: &str,
-    mut cluster: Cluster,
-    duration: SimTime,
-    limits: RunLimits,
-    interner: &Arc<Interner>,
-    buffer: Vec<CompactEvent>,
-    monitor: Option<SharedBank>,
-) -> (Vec<CompactEvent>, RunOutcome) {
-    let started = obs::metrics_enabled().then(Instant::now);
-    cluster.set_interner(Arc::clone(interner));
-    let events: Arc<Mutex<Vec<CompactEvent>>> = Arc::new(Mutex::new(recycled(buffer)));
-    let shared = SharedSink {
-        buf: Arc::clone(&events),
-        interner: Arc::clone(interner),
-    };
-    let run = catch_unwind(AssertUnwindSafe(move || {
-        let mut sim = Simulator::new(cluster)?;
-        let mut sink = shared;
-        let _span = obs::span("stage.simulate");
-        match monitor {
-            Some(bank) => {
-                let mut monitored = MonitorSink::new(&mut sink, bank);
-                sim.run_with_limits(duration, &mut monitored, &limits)?;
-            }
-            None => {
-                sim.run_with_limits(duration, &mut sink, &limits)?;
-            }
-        }
-        Ok::<(), DftError>(())
-    }));
-    let outcome = outcome_of(run);
-    let log = {
-        let mut guard = events.lock().unwrap_or_else(|p| p.into_inner());
-        std::mem::take(&mut *guard)
-    };
-    if let Some(t0) = started {
-        obs::counter_add(&format!("testcase.{name}.events"), log.len() as u64);
-        obs::observe_duration(&format!("testcase.{name}.wall"), t0.elapsed());
-    }
-    (log, outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::assoc::Association;
+    use crate::test_oracle::{oracle, oracle_automaton};
     use tdf_interp::{Interface, InterpModule, TdfModelDef};
-    use tdf_sim::{FaultPlan, FaultyEvents, FnSource, Value};
+    use tdf_sim::{FaultPlan, FaultyEvents, FnSource, PanicAfter, TdfModule, Value};
 
     const SRC: &str = "\
 void A::processing()
@@ -1284,30 +831,22 @@ void B::processing()
     }
 
     fn build_cluster(level: f64) -> (Cluster, Design) {
-        let tu = minic::parse(SRC).unwrap();
-        let mut cluster = Cluster::new("top");
-        let src = cluster
-            .add_module(Box::new(FnSource::new(
-                "src",
-                SimTime::from_us(1),
-                move |_| Value::Double(level),
-            )))
-            .unwrap();
-        let mut ids = Vec::new();
-        for d in defs() {
-            let m = InterpModule::new(&tu, &d.model, d.interface.clone()).unwrap();
-            ids.push(cluster.add_module(Box::new(m)).unwrap());
-        }
-        cluster.connect(src, "op_out", ids[0], "ip_in").unwrap();
-        cluster.connect(ids[0], "op_y", ids[1], "ip_x").unwrap();
-        let design = Design::new(minic::parse(SRC).unwrap(), defs(), cluster.netlist()).unwrap();
-        (cluster, design)
+        build_cluster_with(level, |m| m)
     }
 
     /// Like `build_cluster`, but module A's event stream passes through a
     /// deterministic fault tap that garbles events — the malformed-log
     /// scenario where match-mode choices become visible.
     fn build_faulty_cluster(level: f64, plan: FaultPlan) -> (Cluster, Design) {
+        build_cluster_with(level, move |m| Box::new(FaultyEvents::new(m, plan.clone())))
+    }
+
+    /// `build_cluster` with module A wrapped by `wrap_a` (a fault tap, a
+    /// saboteur, or the identity).
+    fn build_cluster_with(
+        level: f64,
+        wrap_a: impl Fn(Box<dyn TdfModule>) -> Box<dyn TdfModule>,
+    ) -> (Cluster, Design) {
         let tu = minic::parse(SRC).unwrap();
         let mut cluster = Cluster::new("top");
         let src = cluster
@@ -1319,18 +858,29 @@ void B::processing()
             .unwrap();
         let mut ids = Vec::new();
         for (i, d) in defs().into_iter().enumerate() {
-            let m = InterpModule::new(&tu, &d.model, d.interface.clone()).unwrap();
-            let boxed: Box<dyn tdf_sim::TdfModule> = if i == 0 {
-                Box::new(FaultyEvents::new(Box::new(m), plan.clone()))
-            } else {
-                Box::new(m)
-            };
-            ids.push(cluster.add_module(boxed).unwrap());
+            let m: Box<dyn TdfModule> =
+                Box::new(InterpModule::new(&tu, &d.model, d.interface.clone()).unwrap());
+            let m = if i == 0 { wrap_a(m) } else { m };
+            ids.push(cluster.add_module(m).unwrap());
         }
         cluster.connect(src, "op_out", ids[0], "ip_in").unwrap();
         cluster.connect(ids[0], "op_y", ids[1], "ip_x").unwrap();
         let design = Design::new(minic::parse(SRC).unwrap(), defs(), cluster.netlist()).unwrap();
         (cluster, design)
+    }
+
+    /// Every reported field of two runs, plus their rendered Table I.
+    fn assert_same_run(statics: &StaticAnalysis, a: &TestcaseResult, b: &TestcaseResult) {
+        assert_eq!(a.name, b.name);
+        assert_eq!(a.exercised, b.exercised);
+        assert_eq!(a.defs_executed, b.defs_executed);
+        assert_eq!(a.warnings, b.warnings);
+        assert_eq!(a.exercised_idx, b.exercised_idx);
+        assert_eq!(a.verdicts, b.verdicts);
+        assert_eq!(
+            crate::render_table1(&Coverage::evaluate(statics, std::slice::from_ref(a))),
+            crate::render_table1(&Coverage::evaluate(statics, std::slice::from_ref(b))),
+        );
     }
 
     #[test]
@@ -1437,6 +987,8 @@ void B::processing()
         assert_eq!(session.runs()[0].name, "TC1");
     }
 
+    /// Verdicts from the one streamed pass equal recording the run first
+    /// and evaluating afterwards (the record-then-match oracle).
     #[test]
     fn assertions_evaluate_in_one_pass_across_strategies() {
         use dft_monitor::{AssertionExpr, Verdict};
@@ -1445,30 +997,34 @@ void B::processing()
             AssertionSpec::new("cap", AssertionExpr::never_above("A.op_y", 50.0)),
             AssertionSpec::new("floor", AssertionExpr::never_below("A.op_y", -1.0)),
         ];
-        let mut per_strategy = Vec::new();
-        for strategy in [MatchStrategy::Streamed, MatchStrategy::Buffered] {
-            let (cluster, design) = build_cluster(0.1);
-            let mut session = DftSession::new(design)
-                .unwrap()
-                .with_assertions(specs.clone());
-            session.set_match_strategy(strategy);
-            session
-                .run_testcase("TC1", cluster, SimTime::from_us(3))
-                .unwrap();
-            // Coverage and verdicts both came out of the same run.
-            assert!(!session.runs()[0].exercised.is_empty());
-            per_strategy.push(session.runs()[0].verdicts.clone());
-        }
-        assert_eq!(per_strategy[0], per_strategy[1], "strategies agree");
-        assert_eq!(per_strategy[0][0].name, "cap");
+        let (cluster, design) = build_cluster(0.1);
+        let mut session = DftSession::new(design).unwrap().with_assertions(specs);
+        let automaton = oracle_automaton(&session, Tracking::Reduced);
+        session
+            .run_testcase("TC1", cluster, SimTime::from_us(3))
+            .unwrap();
+        // Coverage and verdicts both came out of the same run, and agree
+        // with recording first and evaluating afterwards.
+        let run = &session.runs()[0];
+        assert!(!run.exercised.is_empty());
+        let (cluster, _) = build_cluster(0.1);
+        let expected = oracle(
+            &automaton,
+            session.assertions(),
+            "TC1",
+            cluster,
+            SimTime::from_us(3),
+        );
+        assert_same_run(session.static_analysis(), run, &expected);
+        assert_eq!(run.verdicts[0].name, "cap");
         assert_eq!(
-            per_strategy[0][0].verdict,
+            run.verdicts[0].verdict,
             Verdict::Fails {
                 first_violation_time: SimTime::ZERO
             },
             "op_y jumps to 100 at the very first activation"
         );
-        assert_eq!(per_strategy[0][1].verdict, Verdict::Holds);
+        assert_eq!(run.verdicts[1].verdict, Verdict::Holds);
     }
 
     #[test]
@@ -1588,16 +1144,14 @@ void B::processing()
 
     #[test]
     fn failing_testcases_do_not_leak_pooled_buffers() {
+        // Elaboration of a timestep-less cluster fails before anything
+        // simulates: a typed error, no run appended, and nothing left
+        // behind that changes the next run.
         let (warm, design) = build_cluster(0.1);
         let mut session = DftSession::new(design).unwrap();
-        session.set_match_strategy(MatchStrategy::Buffered);
-        // Seed the pool with one warm buffer.
         session
             .run_testcase("warm", warm, SimTime::from_us(3))
             .unwrap();
-        assert_eq!(session.pool_len(), 1);
-        // Elaboration of a timestep-less cluster fails before any event
-        // is recorded; the popped buffer must return to the pool anyway.
         for i in 0..4 {
             let tu = minic::parse(SRC).unwrap();
             let mut broken = Cluster::new("broken");
@@ -1606,106 +1160,113 @@ void B::processing()
             broken.add_module(Box::new(b)).unwrap();
             let run = session.run_testcase(&format!("bad{i}"), broken, SimTime::from_us(1));
             assert!(run.is_err(), "empty cluster must not elaborate");
-            assert_eq!(
-                session.pool_len(),
-                1,
-                "error path must recycle the pooled buffer"
-            );
+            assert_eq!(session.runs().len(), 1, "an error appends no run");
         }
+        let (again, _) = build_cluster(0.1);
+        session
+            .run_testcase("warm", again, SimTime::from_us(3))
+            .unwrap();
+        assert_same_run(
+            session.static_analysis(),
+            &session.runs()[0],
+            &session.runs()[1],
+        );
+    }
+
+    #[test]
+    fn run_testcase_contract() {
+        // A module panic leaves `run_testcase` with its payload and
+        // appends no run; the same cluster in a batch appends exactly
+        // one `Panicked` run.
+        let (warm, design) = build_cluster(0.1);
+        let mut session = DftSession::new(design).unwrap();
+        session
+            .run_testcase("warm", warm, SimTime::from_us(3))
+            .unwrap();
+        let panicking = || build_cluster_with(0.1, |m| Box::new(PanicAfter::new(m, 1))).0;
+        let cluster = panicking();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            let _ = session.run_testcase("boom", cluster, SimTime::from_us(3));
+        }));
+        let payload = caught.expect_err("the module panic must propagate");
+        assert!(panic_payload_str(payload).contains("panicking after 1 activations"));
+        assert_eq!(session.runs().len(), 1, "a panic appends no run");
+        let appended = session.run_testcases(vec![TestcaseSpec::new(
+            "boom",
+            panicking(),
+            SimTime::from_us(3),
+        )]);
+        assert_eq!(appended.unwrap().len(), 1);
+        assert!(matches!(
+            session.runs()[1].outcome,
+            RunOutcome::Panicked { .. }
+        ));
     }
 
     #[test]
     fn single_and_batch_of_one_agree_on_malformed_logs() {
         // Ghost models/vars and warped timestamps in the event stream:
-        // before the mode unification, a single run (Strict) reported
-        // differently from a batch of one (Lenient) on exactly this input.
+        // the input on which single runs and batches of one once
+        // diverged. Single run, batch of one and the oracle agree.
         let plan = FaultPlan::new().with_seed(11).with_corrupt_events(0.5);
-        for strategy in [MatchStrategy::Streamed, MatchStrategy::Buffered] {
-            let (c_single, design) = build_faulty_cluster(0.1, plan.clone());
-            let mut single = DftSession::new(design).unwrap();
-            single.set_match_strategy(strategy);
-            single
-                .run_testcase("TC", c_single, SimTime::from_us(5))
-                .unwrap();
+        let (c_single, design) = build_faulty_cluster(0.1, plan.clone());
+        let mut single = DftSession::new(design).unwrap();
+        let automaton = oracle_automaton(&single, Tracking::Reduced);
+        single
+            .run_testcase("TC", c_single, SimTime::from_us(5))
+            .unwrap();
 
-            let (c_batch, design) = build_faulty_cluster(0.1, plan.clone());
-            let mut batch = DftSession::new(design).unwrap();
-            batch.set_match_strategy(strategy);
-            batch
-                .run_testcases(vec![TestcaseSpec::new("TC", c_batch, SimTime::from_us(5))])
-                .unwrap();
+        let (c_batch, design) = build_faulty_cluster(0.1, plan.clone());
+        let mut batch = DftSession::new(design).unwrap();
+        batch
+            .run_testcases(vec![TestcaseSpec::new("TC", c_batch, SimTime::from_us(5))])
+            .unwrap();
 
-            let s = &single.runs()[0];
-            let b = &batch.runs()[0];
-            assert_eq!(s.exercised, b.exercised, "{strategy:?}");
-            assert_eq!(s.defs_executed, b.defs_executed, "{strategy:?}");
-            assert_eq!(s.warnings, b.warnings, "{strategy:?}");
-            assert_eq!(
-                crate::render_table1(&single.coverage()),
-                crate::render_table1(&batch.coverage()),
-                "{strategy:?}: batch-of-one must report like a single run"
-            );
-        }
-    }
-
-    #[test]
-    fn pool_is_bounded_after_large_batches() {
-        let (_c, design) = build_cluster(0.1);
-        let mut session = DftSession::new(design).unwrap();
-        session.set_match_strategy(MatchStrategy::Buffered);
-        let specs: Vec<TestcaseSpec> = (0..MAX_POOLED_BUFFERS + 4)
-            .map(|i| {
-                let (c, _) = build_cluster(0.1);
-                TestcaseSpec::new(format!("TC{i}"), c, SimTime::from_us(3))
-            })
-            .collect();
-        session.run_testcases(specs).unwrap();
-        assert!(
-            session.pool_len() <= MAX_POOLED_BUFFERS,
-            "pool grew to {} (cap {MAX_POOLED_BUFFERS})",
-            session.pool_len()
+        let (c_oracle, _) = build_faulty_cluster(0.1, plan);
+        let expected = oracle(&automaton, &[], "TC", c_oracle, SimTime::from_us(5));
+        let statics = single.static_analysis();
+        assert_same_run(statics, &single.runs()[0], &batch.runs()[0]);
+        assert_same_run(statics, &single.runs()[0], &expected);
+        assert_eq!(
+            crate::render_table1(&single.coverage()),
+            crate::render_table1(&batch.coverage()),
+            "batch-of-one must report like a single run"
         );
     }
 
-    #[test]
-    fn recycle_enforces_count_and_capacity_bounds() {
-        let (_c, design) = build_cluster(0.1);
-        let mut session = DftSession::new(design).unwrap();
-        // An over-capacity buffer is freed, not pooled.
-        session.recycle(Vec::with_capacity(MAX_POOLED_EVENTS + 1));
-        assert_eq!(session.pool_len(), 0);
-        // Surplus buffers beyond the count cap are dropped.
-        for _ in 0..MAX_POOLED_BUFFERS + 5 {
-            session.recycle(Vec::with_capacity(16));
-        }
-        assert_eq!(session.pool_len(), MAX_POOLED_BUFFERS);
-    }
-
+    /// The streamed session agrees with the buffered strategy, which now
+    /// lives only here as the record-then-match oracle. Reduced is what
+    /// every session tracks; Full is the oracle that reduction
+    /// reconstructs raw results exactly.
     #[test]
     fn streamed_and_buffered_strategies_agree() {
-        let mut reports = Vec::new();
-        for strategy in [MatchStrategy::Streamed, MatchStrategy::Buffered] {
+        for tracking in [Tracking::Reduced, Tracking::Full] {
             let (c1, design) = build_cluster(0.01);
             let (c2, _) = build_cluster(0.1);
             let mut session = DftSession::new(design).unwrap();
-            session.set_match_strategy(strategy);
-            assert_eq!(session.match_strategy(), strategy);
+            let automaton = oracle_automaton(&session, tracking);
             session
                 .run_testcase("TC1", c1, SimTime::from_us(3))
                 .unwrap();
             session
                 .run_testcases(vec![TestcaseSpec::new("TC2", c2, SimTime::from_us(3))])
                 .unwrap();
-            if strategy == MatchStrategy::Streamed {
-                assert_eq!(
-                    session.pool_len(),
-                    0,
-                    "streamed runs must not materialize pooled logs"
-                );
+            let expected: Vec<TestcaseResult> = [("TC1", 0.01), ("TC2", 0.1)]
+                .into_iter()
+                .map(|(name, level)| {
+                    let (c, _) = build_cluster(level);
+                    oracle(&automaton, &[], name, c, SimTime::from_us(3))
+                })
+                .collect();
+            for (run, want) in session.runs().iter().zip(&expected) {
+                assert_same_run(session.static_analysis(), run, want);
             }
-            reports.push(crate::render_table1(&session.coverage()));
+            assert_eq!(
+                crate::render_table1(&session.coverage()),
+                crate::render_table1(&Coverage::evaluate(session.static_analysis(), &expected)),
+                "{tracking:?}: session must report like the oracle"
+            );
         }
-        assert_eq!(reports[0], reports[1], "strategies must be byte-identical");
     }
 
     #[test]

@@ -186,18 +186,6 @@ impl ModelFlow {
     }
 }
 
-/// Whether per-model artifact memoization is enabled: the `DFT_INCR`
-/// environment variable; `0` / `false` / `off` opt out to the exact
-/// non-memoized analysis path (no cache consultation, no splicing from a
-/// previous build). Reports are byte-identical either way — the knob only
-/// trades recomputation for memory.
-pub fn incremental_enabled() -> bool {
-    !matches!(
-        std::env::var("DFT_INCR"),
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off")
-    )
-}
-
 /// FNV-1a accumulator — the same zero-dependency hash the interner and
 /// `dft-serve`'s artifact cache use. Implements [`Hasher`] so fingerprints
 /// stream `#[derive(Hash)]` AST/interface/netlist structure directly
@@ -457,13 +445,11 @@ pub fn analyse(design: &Design) -> StaticAnalysis {
 ///
 /// The result is byte-identical for every `threads` value: workers only
 /// compute per-model artefacts, and the merge walks models in
-/// `design.user_models()` order, exactly like the sequential loop. Unless
-/// `DFT_INCR=0`, unchanged models resolve from the process-wide
-/// [`ModelArtifactCache`] instead of recomputing — with byte-identical
-/// output either way.
+/// `design.user_models()` order, exactly like the sequential loop.
+/// Unchanged models resolve from the process-wide [`ModelArtifactCache`]
+/// instead of recomputing — with byte-identical output either way.
 pub fn analyse_with_threads(design: &Design, threads: usize) -> StaticAnalysis {
-    let cache = incremental_enabled().then(ModelArtifactCache::global);
-    analyse_build(design, threads, cache, None).analysis
+    analyse_build(design, threads, Some(ModelArtifactCache::global()), None).analysis
 }
 
 /// Computes one model's full artifact (the per-model worker body).
@@ -552,7 +538,9 @@ fn model_subsumption(
 /// The full static stage with explicit memoization inputs: an optional
 /// process-wide [`ModelArtifactCache`] and an optional previous
 /// [`StaticBuild`] to splice unchanged models (and unchanged cluster
-/// units) from. Both `None` is the exact cold path.
+/// units) from. Both `None` is a cold build: the same code, with nothing
+/// to resolve from. Fingerprints are always computed, so any build can
+/// seed a later incremental one.
 ///
 /// The merge is byte-identical to the historical single-pass analysis for
 /// every combination of inputs: per-model association blocks concatenate
@@ -572,39 +560,30 @@ pub(crate) fn analyse_build(
     static REBUILT: obs::Counter = obs::Counter::new("incremental.models_rebuilt");
     let models = design.user_models();
     MODELS_ANALYSED.add(models.len() as u64);
-    // Keys only matter when there is something to look them up in or a
-    // build to splice from; the pure-cold path (DFT_INCR=0) skips the
-    // fingerprint pass entirely. A build stored with zero keys can never
-    // match a real fingerprint later, so splicing from it is a safe no-op.
-    let keyed = cache.is_some() || prev.is_some();
-    let (keys, netlist_key) = if keyed {
+    let (keys, netlist_key) = {
         let _span = obs::span("static.fingerprint");
         let keys: Vec<u64> = models
             .iter()
             .map(|&m| model_fingerprint(design, m))
             .collect();
         (keys, netlist_fingerprint(design))
-    } else {
-        (vec![0; models.len()], 0)
     };
 
     // Resolve per-model artifacts: the previous build first (no lock, no
     // eviction pressure), then the shared cache; whatever is left fans out
-    // to workers exactly like the cold path.
+    // to workers.
     let mut artifacts: Vec<Option<Arc<ModelArtifact>>> = vec![None; models.len()];
-    if keyed {
-        for (slot, (&model, &key)) in artifacts.iter_mut().zip(models.iter().zip(&keys)) {
-            let found = prev
-                .and_then(|p| p.models.iter().find(|m| m.name == model && m.key == key))
-                .map(|m| Arc::clone(&m.artifact))
-                .or_else(|| cache.and_then(|c| c.lookup(key)));
-            match found {
-                Some(art) => {
-                    MODEL_HIT.add(1);
-                    *slot = Some(art);
-                }
-                None => MODEL_MISS.add(1),
+    for (slot, (&model, &key)) in artifacts.iter_mut().zip(models.iter().zip(&keys)) {
+        let found = prev
+            .and_then(|p| p.models.iter().find(|m| m.name == model && m.key == key))
+            .map(|m| Arc::clone(&m.artifact))
+            .or_else(|| cache.and_then(|c| c.lookup(key)));
+        match found {
+            Some(art) => {
+                MODEL_HIT.add(1);
+                *slot = Some(art);
             }
+            None => MODEL_MISS.add(1),
         }
     }
     let missing: Vec<usize> = (0..models.len())

@@ -420,8 +420,8 @@ impl Leaf {
 /// sample ([`MonitorBank::observe`] — usually via
 /// [`MonitorSink`](crate::MonitorSink)), then [`MonitorBank::finalize`]
 /// into per-assertion [`AssertionVerdict`]s. Verdicts are emitted in spec
-/// order, so they are byte-deterministic regardless of thread count,
-/// match strategy or `Sym` id assignment order.
+/// order, so they are byte-deterministic regardless of thread count or
+/// `Sym` id assignment order.
 #[derive(Debug)]
 pub struct MonitorBank {
     assertions: Vec<CompiledAssertion>,

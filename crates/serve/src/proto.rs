@@ -14,9 +14,7 @@
 
 use crate::json::Json;
 use ams_models::{buck_boost, sensor, window_lifter};
-use dft_core::{
-    AssertionExpr, AssertionSpec, Design, MatchStrategy, Result as DftResult, SignalPred,
-};
+use dft_core::{AssertionExpr, AssertionSpec, Design, Result as DftResult, SignalPred};
 use stimuli::{Signal, Testcase};
 use tdf_sim::{Cluster, SimTime};
 
@@ -391,8 +389,6 @@ pub struct AnalyseRequest {
     pub retries: Option<u32>,
     /// Log-matching worker override (defaults to the server's).
     pub threads: Option<usize>,
-    /// Match strategy override.
-    pub strategy: Option<MatchStrategy>,
     /// Whether to render Table I / Table II bodies in the response.
     pub tables: bool,
     /// Saboteur for the probe design (requires the `fault-inject` build).
@@ -600,12 +596,6 @@ impl AnalyseRequest {
                 .map(Some)
                 .ok_or_else(|| bad(format!("\"{k}\" must be a non-negative integer"))),
         };
-        let strategy = match v.get("strategy").and_then(Json::as_str) {
-            None => None,
-            Some("streamed") => Some(MatchStrategy::Streamed),
-            Some("buffered") => Some(MatchStrategy::Buffered),
-            Some(other) => return Err(bad(format!("unknown strategy {other:?}"))),
-        };
         let fault = match v.get("fault") {
             None | Some(Json::Null) => None,
             Some(spec) => {
@@ -639,7 +629,6 @@ impl AnalyseRequest {
             max_events: opt_u64("max_events")?,
             retries: opt_u64("retries")?.map(|n| n.min(16) as u32),
             threads: opt_u64("threads")?.map(|n| n.clamp(1, 64) as usize),
-            strategy,
             tables: v.get("tables").and_then(Json::as_bool).unwrap_or(true),
             fault,
             assertions: parse_assertions(v)?,

@@ -123,12 +123,12 @@ struct Shared {
     /// resolved once at server start — satellite of the SessionConfig
     /// refactor: no hot-path env reads per request).
     base_session: SessionConfig,
-    /// Second cache tier: the last frozen artifacts per design *family*
-    /// (+ tracking mode). A whole-design miss — typically an edited
-    /// parameterisation of a known family — rebuilds incrementally from
-    /// this instead of cold, splicing every model the edit left
-    /// unchanged. Bounded by the design-family enum, so no eviction.
-    prev_builds: Mutex<HashMap<String, Arc<SessionArtifacts>>>,
+    /// Second cache tier: the last frozen artifacts per design *family*.
+    /// A whole-design miss — typically an edited parameterisation of a
+    /// known family — rebuilds incrementally from this instead of cold,
+    /// splicing every model the edit left unchanged. Bounded by the
+    /// design-family enum, so no eviction.
+    prev_builds: Mutex<HashMap<&'static str, Arc<SessionArtifacts>>>,
     connections: AtomicUsize,
 }
 
@@ -487,32 +487,21 @@ fn handle_analyse(shared: &Arc<Shared>, request: &AnalyseRequest) -> String {
     if let Some(threads) = request.threads {
         session_config = session_config.with_threads(threads);
     }
-    if let Some(strategy) = request.strategy {
-        session_config = session_config.with_strategy(strategy);
-    }
 
     // Artifact cache: key on everything the frozen artifacts depend on.
-    let material = format!(
-        "{};tracking={:?}",
-        request.design.cache_key_material(),
-        session_config.tracking
-    );
+    let material = request.design.cache_key_material();
     // Second tier: on a whole-design miss, the family's previous frozen
     // build (if any) seeds an incremental rebuild — only models the edit
-    // touched are recomputed, the rest splice. `DFT_INCR=0` (or
-    // `incremental: false` per request config) disables the tier.
-    let family_key = format!(
-        "{};tracking={:?}",
-        request.design.family(),
-        session_config.tracking
-    );
+    // touched are recomputed, the rest splice. A base configuration with
+    // `incremental: false` disables the tier.
+    let family_key = request.design.family();
     let via_incremental = std::cell::Cell::new(false);
     let elaborate_started = Instant::now();
     let built = shared.cache.get_or_build(fnv1a(material.as_bytes()), || {
         request.design.design().map(|design| {
             let prev = if session_config.incremental {
                 let prev_builds = shared.prev_builds.lock().unwrap_or_else(|p| p.into_inner());
-                prev_builds.get(&family_key).map(Arc::clone)
+                prev_builds.get(family_key).map(Arc::clone)
             } else {
                 None
             };

@@ -504,21 +504,14 @@ fn one_model_edit_is_served_incrementally() {
     assert_eq!(cold.get("artifact").and_then(Json::as_str), Some("cold"));
 
     // Same family, edited ADC interface: cold at the whole-design tier,
-    // incremental at the per-model tier — unless the suite runs with
-    // DFT_INCR=0, where the fallback tier is off and the edit is simply
-    // cold (the served tables must be byte-identical either way).
-    let incremental_on = dft_core::incremental_enabled();
+    // incremental at the per-model tier.
     let edited = client
         .roundtrip(r#"{"op":"analyse","id":"i2","design":{"name":"sensor","full_scale":511}}"#);
     assert_eq!(status(&edited), "ok", "{edited:?}");
     assert_eq!(edited.get("cache").and_then(Json::as_str), Some("cold"));
     assert_eq!(
         edited.get("artifact").and_then(Json::as_str),
-        Some(if incremental_on {
-            "incremental"
-        } else {
-            "cold"
-        }),
+        Some("incremental"),
         "{edited:?}"
     );
     // A one-model edit rebuilds at most the edited model — possibly zero
@@ -529,14 +522,10 @@ fn one_model_edit_is_served_incrementally() {
         .and_then(|t| t.get("models_rebuilt"))
         .and_then(Json::as_f64)
         .expect("timings.models_rebuilt");
-    if incremental_on {
-        assert!(
-            (0.0..=1.0).contains(&rebuilt),
-            "one-model edit rebuilt {rebuilt} models"
-        );
-    } else {
-        assert!(rebuilt >= 1.0, "cold build rebuilt {rebuilt} models");
-    }
+    assert!(
+        (0.0..=1.0).contains(&rebuilt),
+        "one-model edit rebuilt {rebuilt} models"
+    );
     assert_eq!(
         tables(&edited).0,
         sensor_oracle_at(511.0),

@@ -282,17 +282,6 @@ impl CompactRecordingSink {
             interner,
         }
     }
-
-    /// Creates a sink recording against `interner`, reusing `buffer`
-    /// (cleared) as backing storage — the pooling hook of the session's
-    /// batch runner.
-    pub fn with_buffer(interner: Arc<Interner>, mut buffer: Vec<CompactEvent>) -> Self {
-        buffer.clear();
-        CompactRecordingSink {
-            events: buffer,
-            interner,
-        }
-    }
 }
 
 impl EventSink for CompactRecordingSink {

@@ -4,17 +4,17 @@
 //! Each iteration synthesizes a batch of candidate testcases (fresh
 //! random, mutations of accepted suite members, and channel crossovers),
 //! evaluates the whole batch through the budget-bounded
-//! [`DftSession::run_testcases_with_threads`] pipeline, scores every
+//! [`DftSession::run_testcases_with`] pipeline, scores every
 //! candidate by the *class-weighted newly exercised* associations it
 //! contributes, and greedily accepts candidates while they still add
 //! coverage. Accepted cases become the next [`stimuli::Testsuite`]
 //! iteration — exactly the refinement structure of Table II, grown by
 //! search instead of by hand.
 //!
-//! Determinism: all RNG draws and all acceptance decisions happen on the
-//! single-threaded control path; the only parallel stage (batch event-log
-//! matching) merges by input index. A fixed `(seed, config)` therefore
-//! produces byte-identical suites and reports at any thread count.
+//! Determinism: all RNG draws, all simulation and matching, and all
+//! acceptance decisions happen on the single-threaded control path. A
+//! fixed `(seed, config)` therefore produces byte-identical suites and
+//! reports at any thread count.
 
 use std::collections::{HashMap, HashSet};
 
@@ -91,8 +91,9 @@ pub struct GenConfig {
     pub limits: RunLimits,
     /// Fitness weights per association class.
     pub weights: ClassWeights,
-    /// Worker count for batch log matching; 0 means the process-wide
-    /// [`dft_core::thread_count`]. Any value yields identical output.
+    /// Former worker count for batch log matching. Matching now runs
+    /// inside the sequential simulation pass, so no value changes the
+    /// work done or the output; the field stays for existing callers.
     pub threads: usize,
     /// Optional early-exit target: stop once this many distinct static
     /// associations are exercised (e.g. a hand-suite baseline to match).
@@ -217,7 +218,7 @@ impl Generator {
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                if dft_core::subsume_enabled() && !statics.subsumption.is_tracked(i) {
+                if !statics.subsumption.is_tracked(i) {
                     1
                 } else {
                     cfg.weights.of(c.class)
@@ -396,10 +397,9 @@ impl Generator {
     /// budgets and returns `(testcase, exercised static indices, run)`
     /// per candidate, batch order. Candidates whose cluster fails to
     /// build are dropped (counted, never fatal); the session's run list
-    /// is left exactly as it was. Evaluation rides whatever
-    /// [`dft_core::MatchStrategy`] the session is configured with — by
-    /// default each candidate is matched *while it simulates*, so large
-    /// candidate batches never materialize per-candidate event logs.
+    /// is left exactly as it was. Each candidate is matched *while it
+    /// simulates*, so large candidate batches never materialize
+    /// per-candidate event logs.
     fn evaluate(&mut self, candidates: &[Testcase]) -> Vec<(Testcase, Vec<usize>, TestcaseResult)> {
         let mut specs = Vec::with_capacity(candidates.len());
         let mut built = Vec::with_capacity(candidates.len());
@@ -413,13 +413,7 @@ impl Generator {
             }
         }
         let start = self.session.runs().len();
-        let threads = if self.cfg.threads == 0 {
-            dft_core::thread_count()
-        } else {
-            self.cfg.threads
-        };
-        self.session
-            .run_testcases_with_threads(specs, self.cfg.limits, threads);
+        self.session.run_testcases_with(specs, self.cfg.limits);
         let runs = self.session.take_runs_from(start);
         let n_assocs = self.weight.len();
         built

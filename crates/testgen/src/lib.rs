@@ -19,10 +19,10 @@
 //! preserving the exercised set.
 //!
 //! Everything is **deterministic**: candidates come from a splitmix64
-//! stream ([`GenRng`]) seeded by [`GenConfig::seed`], acceptance happens
-//! on the single-threaded control path, and the only parallel stage (the
-//! session's batch log matching) merges by input index — so a fixed seed
-//! produces byte-identical suites and reports at any `DFT_THREADS`.
+//! stream ([`GenRng`]) seeded by [`GenConfig::seed`], and simulation,
+//! matching and acceptance all happen on the single-threaded control
+//! path — so a fixed seed produces byte-identical suites and reports at
+//! any `DFT_THREADS`.
 //!
 //! Budgets ([`GenConfig::limits`]) bound every candidate simulation, so a
 //! hostile candidate (runaway oscillator, panic) degrades gracefully

@@ -2,9 +2,8 @@
 //! byte-stable across platforms so a `(seed, config)` pair always
 //! synthesizes the exact same candidate sequence.
 //!
-//! All draws happen on the single-threaded generation path — the parallel
-//! half of the pipeline (batch log matching) never touches the RNG — which
-//! is what makes whole generation runs reproducible at any `DFT_THREADS`.
+//! All draws happen on the single-threaded generation path, which is what
+//! makes whole generation runs reproducible at any `DFT_THREADS`.
 
 /// A splitmix64 generator (Steele, Lea & Flood's `SplitMix64`), the same
 /// scrambler `tdf_sim::FaultRng` seeds from. Unlike a raw xorshift it has

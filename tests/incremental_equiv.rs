@@ -5,16 +5,19 @@
 //! [`SessionArtifacts::build_with`] of the edited design — the full
 //! [`StaticAnalysis`] (associations, lints, subsumption mapping), the
 //! rendered Table I / Table II bodies and the subsumption report — at 1
-//! and 4 analysis threads, with full and reduced tracking (the
-//! `DFT_SUBSUME=0` semantics), and through both match strategies on a
-//! simulated batch.
+//! and 4 analysis threads, on a simulated testcase. The rendered reports
+//! must also equal the full-tracking record-then-match oracle
+//! (`tests/support`).
+
+mod support;
 
 use proptest::prelude::*;
 
+use support::{oracle_automaton, oracle_run};
 use systemc_ams_dft::dft::synth::{synthetic_chain, SynthSpec};
 use systemc_ams_dft::dft::{
-    render_subsumption, render_table1, render_table2, DftSession, MatchStrategy, SessionArtifacts,
-    SessionConfig, Table2Row, Tracking,
+    render_subsumption, render_table1, render_table2, Coverage, DftSession, SessionArtifacts,
+    SessionConfig, StaticAnalysis, Table2Row, Tracking,
 };
 use systemc_ams_dft::sim::SimTime;
 
@@ -54,25 +57,36 @@ fn chain_with(length: usize, gains: bool, edits: &[(usize, u32, u32)]) -> SynthS
 }
 
 /// Renders everything a client can observe from one artifacts + one
-/// simulated batch: Table I, Table II and the subsumption report.
+/// simulated testcase: Table I, Table II and the subsumption report. With
+/// `oracle` set, the testcase runs through the full-tracking
+/// record-then-match oracle instead of the session.
 fn observable(
     artifacts: std::sync::Arc<SessionArtifacts>,
     spec: &SynthSpec,
     config: &SessionConfig,
+    oracle: bool,
 ) -> String {
-    let statics = artifacts.static_analysis().clone();
     let mut session = DftSession::from_artifacts(artifacts, *config);
     let cluster = spec.build_cluster().unwrap();
-    session
-        .run_testcase("tc", cluster, SimTime::from_us(50))
-        .unwrap();
-    let cov = session.coverage();
-    let row = Table2Row::from_coverage("synth", 0, 1, &cov);
+    let duration = SimTime::from_us(50);
+    let cov = if oracle {
+        let automaton = oracle_automaton(&session, Tracking::Full);
+        let run = oracle_run(&automaton, &[], "tc", cluster, duration);
+        Coverage::evaluate(session.static_analysis(), &[run])
+    } else {
+        session.run_testcase("tc", cluster, duration).unwrap();
+        session.coverage()
+    };
+    render(session.static_analysis(), &cov)
+}
+
+fn render(statics: &StaticAnalysis, cov: &Coverage) -> String {
+    let row = Table2Row::from_coverage("synth", 0, 1, cov);
     format!(
         "{}\n{}\n{}",
-        render_table1(&cov),
+        render_table1(cov),
         render_table2(&[row]),
-        render_subsumption(&statics, &cov)
+        render_subsumption(statics, cov)
     )
 }
 
@@ -99,8 +113,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The gate: cold build of the edited design == incremental splice
-    /// from the pre-edit build, at 1 and 4 threads, Reduced and Full
-    /// tracking.
+    /// from the pre-edit build == full-tracking oracle, at 1 and 4
+    /// threads.
     #[test]
     fn incremental_rebuild_is_byte_identical_to_cold(case in arb_case()) {
         let (length, gains, edits) = case;
@@ -112,60 +126,48 @@ proptest! {
         edited_models.dedup();
 
         for threads in [1usize, 4] {
-            for tracking in [Tracking::Reduced, Tracking::Full] {
-                let cold_config = SessionConfig::from_env()
-                    .with_threads(threads)
-                    .with_tracking(tracking)
-                    .with_incremental(false);
-                let incr_config = cold_config.with_incremental(true);
+            let cold_config = SessionConfig::from_env()
+                .with_threads(threads)
+                .with_incremental(false);
+            let incr_config = cold_config.with_incremental(true);
 
-                // `prev` is built with incremental on: the pure-cold path
-                // skips fingerprinting, so a cold build carries no keys to
-                // splice from.
-                let prev = SessionArtifacts::build_with(
-                    base.build_design().unwrap(),
-                    &incr_config,
-                );
-                let cold = SessionArtifacts::build_with(
-                    edited.build_design().unwrap(),
-                    &cold_config,
-                );
-                let incr = SessionArtifacts::build_incremental(
-                    edited.build_design().unwrap(),
-                    &prev,
-                    &incr_config,
-                );
+            let prev = SessionArtifacts::build_with(base.build_design().unwrap(), &incr_config);
+            let cold = SessionArtifacts::build_with(edited.build_design().unwrap(), &cold_config);
+            let incr = SessionArtifacts::build_incremental(
+                edited.build_design().unwrap(),
+                &prev,
+                &incr_config,
+            );
 
-                prop_assert_eq!(
-                    cold.static_analysis(),
-                    incr.static_analysis(),
-                    "statics diverged (threads={}, tracking={:?})",
-                    threads,
-                    tracking
-                );
-                // Unchanged models must splice from `prev` (the global
-                // model cache can only lower the count further).
-                prop_assert!(
-                    incr.models_rebuilt() <= edited_models.len(),
-                    "rebuilt {} models for {} edits",
-                    incr.models_rebuilt(),
-                    edited_models.len()
-                );
+            prop_assert_eq!(
+                cold.static_analysis(),
+                incr.static_analysis(),
+                "statics diverged (threads={})",
+                threads
+            );
+            // Unchanged models must splice from `prev` (the global model
+            // cache can only lower the count further).
+            prop_assert!(
+                incr.models_rebuilt() <= edited_models.len(),
+                "rebuilt {} models for {} edits",
+                incr.models_rebuilt(),
+                edited_models.len()
+            );
 
-                // Rendered reports through a simulated batch, both match
-                // strategies.
-                for strategy in [MatchStrategy::Streamed, MatchStrategy::Buffered] {
-                    let run_config = incr_config.with_strategy(strategy);
-                    prop_assert_eq!(
-                        observable(cold.clone(), &edited, &run_config),
-                        observable(incr.clone(), &edited, &run_config),
-                        "reports diverged (threads={}, tracking={:?}, strategy={:?})",
-                        threads,
-                        tracking,
-                        strategy
-                    );
-                }
-            }
+            // Rendered reports through a simulated testcase.
+            let want = observable(cold.clone(), &edited, &incr_config, false);
+            prop_assert_eq!(
+                &want,
+                &observable(incr.clone(), &edited, &incr_config, false),
+                "incremental reports diverged (threads={})",
+                threads
+            );
+            prop_assert_eq!(
+                &want,
+                &observable(incr, &edited, &incr_config, true),
+                "reports diverged from the full-tracking oracle (threads={})",
+                threads
+            );
         }
     }
 
@@ -183,7 +185,9 @@ proptest! {
             .with_threads(threads)
             .with_incremental(false);
         let incr_config = cold_config.with_incremental(true);
-        let prev = SessionArtifacts::build_with(spec.build_design().unwrap(), &incr_config);
+        // A cold build still records fingerprints, so it seeds a later
+        // incremental build like any other.
+        let prev = SessionArtifacts::build_with(spec.build_design().unwrap(), &cold_config);
         let incr =
             SessionArtifacts::build_incremental(spec.build_design().unwrap(), &prev, &incr_config);
         prop_assert_eq!(incr.models_rebuilt(), 0);

@@ -5,18 +5,23 @@
 //! rendered coverage reports — to the legacy string matcher, and session
 //! reports must not depend on the matcher thread count.
 //!
+//! Session reports are also gated against the test-side record-then-match
+//! and full-tracking oracles (`tests/support`).
+//!
 //! The quick variants run in the default suite; heavier case counts are
 //! opted in with `--features fault-inject` (the CI fault-injection job).
+
+mod support;
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
+use support::{oracle_automaton, oracle_run};
 use systemc_ams_dft::dft::synth::synthetic_chain;
 use systemc_ams_dft::dft::{
     analyse, analyse_events_with_mode, obs, render_table1, Coverage, Design, DftSession,
-    MatchAutomaton, MatchMode, MatchStrategy, StaticAnalysis, TestcaseResult, TestcaseSpec,
-    Tracking,
+    MatchAutomaton, MatchMode, StaticAnalysis, TestcaseResult, TestcaseSpec, Tracking,
 };
 use systemc_ams_dft::sim::{
     CompactEvent, Event, FaultInjector, FaultPlan, RecordingSink, RunLimits, SimTime, Simulator,
@@ -258,9 +263,8 @@ proptest! {
     }
 }
 
-/// The batch pipeline (simulate → pooled compact logs → shared automaton
-/// across `DFT_THREADS` workers) renders identical reports at 1 and 4
-/// matcher threads.
+/// The batch pipeline renders identical reports whatever worker count it
+/// is handed (1 and 4).
 #[test]
 fn session_reports_identical_across_thread_counts() {
     for length in [2usize, 5] {
@@ -289,49 +293,55 @@ fn session_reports_identical_across_thread_counts() {
     }
 }
 
-/// The streamed and buffered session strategies render identical reports,
-/// and neither depends on the matcher thread count (1 vs 4) — streaming
-/// matches inline during simulation, so the thread knob must be a no-op
-/// there, while the buffered fan-out must merge deterministically.
+/// The streamed session at 1 and 4 matcher threads renders exactly what
+/// the buffered strategy — now the test-side record-then-match oracle,
+/// with reduced and with full tracking — renders for the same suite.
 #[test]
 fn session_strategies_identical_across_thread_counts() {
     for length in [2usize, 5] {
+        let spec = synthetic_chain(length, true);
+        let specs = || -> Vec<TestcaseSpec> {
+            (0..3)
+                .map(|i| {
+                    TestcaseSpec::new(
+                        format!("TC{i}"),
+                        spec.build_cluster().unwrap(),
+                        SimTime::from_us(40),
+                    )
+                })
+                .collect()
+        };
         let mut outputs = Vec::new();
-        for strategy in [MatchStrategy::Streamed, MatchStrategy::Buffered] {
-            for threads in [1usize, 4] {
-                let spec = synthetic_chain(length, true);
-                let design = spec.build_design().unwrap();
-                let mut session = DftSession::new(design).unwrap();
-                session.set_match_strategy(strategy);
-                let specs: Vec<TestcaseSpec> = (0..3)
-                    .map(|i| {
-                        TestcaseSpec::new(
-                            format!("TC{i}"),
-                            spec.build_cluster().unwrap(),
-                            SimTime::from_us(40),
-                        )
-                    })
-                    .collect();
-                session.run_testcases_with_threads(specs, RunLimits::none(), threads);
-                let warnings: usize = session.runs().iter().map(|r| r.warnings.len()).sum();
-                outputs.push((render_table1(&session.coverage()), warnings));
-            }
+        for threads in [1usize, 4] {
+            let mut session = DftSession::new(spec.build_design().unwrap()).unwrap();
+            session.run_testcases_with_threads(specs(), RunLimits::none(), threads);
+            let warnings: usize = session.runs().iter().map(|r| r.warnings.len()).sum();
+            outputs.push((render_table1(&session.coverage()), warnings));
+        }
+        let session = DftSession::new(spec.build_design().unwrap()).unwrap();
+        for tracking in [Tracking::Reduced, Tracking::Full] {
+            let automaton = oracle_automaton(&session, tracking);
+            let runs: Vec<TestcaseResult> = specs()
+                .into_iter()
+                .map(|tc| oracle_run(&automaton, &[], &tc.name, tc.cluster, tc.duration))
+                .collect();
+            let warnings: usize = runs.iter().map(|r| r.warnings.len()).sum();
+            let cov = Coverage::evaluate(session.static_analysis(), &runs);
+            outputs.push((render_table1(&cov), warnings));
         }
         for o in &outputs[1..] {
             assert_eq!(
                 &outputs[0], o,
-                "chain{length} differs by strategy or thread count"
+                "chain{length} differs from the oracles or by thread count"
             );
         }
     }
 }
 
-/// Peak-memory gate for the streamed pipeline: events flow through the
-/// `match.streamed_events` counter instead of a materialized log, so a
-/// streamed session finishes with an empty buffer pool, while a buffered
-/// one pools the full-log `Vec` it recorded. (The counter is
-/// process-global and tests run concurrently, so the assertion is a
-/// strict increase, not an exact delta.)
+/// Peak-memory gate for the streamed pipeline: every event flows through
+/// the `match.streamed_events` counter instead of a materialized log.
+/// (The counter is process-global and tests run concurrently, so the
+/// assertion is a strict increase, not an exact delta.)
 #[test]
 fn streamed_sessions_materialize_no_log() {
     let was_on = obs::metrics_enabled();
@@ -339,7 +349,6 @@ fn streamed_sessions_materialize_no_log() {
 
     let spec = synthetic_chain(3, true);
     let mut session = DftSession::new(spec.build_design().unwrap()).unwrap();
-    session.set_match_strategy(MatchStrategy::Streamed);
     let before = obs::MetricsReport::capture().counter("match.streamed_events");
     session
         .run_testcase(
@@ -349,29 +358,9 @@ fn streamed_sessions_materialize_no_log() {
         )
         .unwrap();
     let after = obs::MetricsReport::capture().counter("match.streamed_events");
+    obs::set_metrics_enabled(was_on);
     assert!(
         after > before,
         "every streamed event must tick match.streamed_events ({before} -> {after})"
-    );
-    assert_eq!(
-        session.pool_len(),
-        0,
-        "streamed runs must not materialize a pooled event log"
-    );
-
-    let mut session = DftSession::new(spec.build_design().unwrap()).unwrap();
-    session.set_match_strategy(MatchStrategy::Buffered);
-    session
-        .run_testcase(
-            "TC_buffer",
-            spec.build_cluster().unwrap(),
-            SimTime::from_us(50),
-        )
-        .unwrap();
-    obs::set_metrics_enabled(was_on);
-    assert_eq!(
-        session.pool_len(),
-        1,
-        "the buffered strategy records into (and pools) a full-log Vec"
     );
 }
